@@ -14,7 +14,7 @@ COVER_FLOOR = 60
 BENCH_DIR = bench-out
 BASELINE  = results/BENCH_offline_baseline.json
 
-.PHONY: all build test test-race vet doccheck check cover cover-gate bench bench-gate bench-micro bench-server cluster-smoke chaos-smoke reshard-smoke fuzz fuzz-smoke segment-torture stress paper corpus pgo clean
+.PHONY: all build test test-race vet doccheck check perfbench-check cover cover-gate bench bench-gate bench-micro bench-server cluster-smoke chaos-smoke reshard-smoke fuzz fuzz-smoke segment-torture stress paper corpus pgo clean
 
 all: build vet test
 
@@ -56,6 +56,12 @@ doccheck:
 check: build doccheck vet
 	$(GO) test -race -timeout 30m -covermode=atomic -coverprofile=coverage.out -coverpkg=$(COVERPKGS) $$($(GO) list ./... | grep -v videodb/internal/experiments)
 	$(GO) test -race -timeout 30m ./internal/experiments/
+
+# perfbench/ is its own Go module (replace videodb => ../), so the
+# root build and test never compile it: vet and self-test it here so an
+# internal API change cannot break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -116,6 +116,26 @@ type Coordinator struct {
 type topology struct {
 	ring   *Ring
 	shards []*shard
+	// reads is read-held by every read routed by this topology (see
+	// readTopology), so a reshard can wait out the reads still using
+	// the old topology before it deletes moved clips from their old
+	// owners.
+	reads sync.RWMutex
+}
+
+// readTopology returns the current topology, read-held: the caller
+// routes one read by it and then calls t.reads.RUnlock. The re-check
+// after RLock means a read never holds a topology a reshard has
+// already swapped out and is waiting to retire.
+func (c *Coordinator) readTopology() *topology {
+	for {
+		t := c.topo.Load()
+		t.reads.RLock()
+		if c.topo.Load() == t {
+			return t
+		}
+		t.reads.RUnlock()
+	}
 }
 
 // New builds a coordinator and starts its health prober.
@@ -448,7 +468,9 @@ func (c *Coordinator) nodeGet(ctx context.Context, n *node, pathq string, sh *sh
 // would 4xx everywhere). The shard list is captured once from the
 // topology pointer, so a reshard landing mid-gather cannot tear it.
 func scatter[T any](c *Coordinator, ctx context.Context, fetch func(sh *shard) (T, error)) (parts []T, partial bool, reject *shardError) {
-	shards := c.topo.Load().shards
+	t := c.readTopology()
+	defer t.reads.RUnlock()
+	shards := t.shards
 	results := make([]T, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
@@ -723,7 +745,8 @@ func (c *Coordinator) handleClipWrite(w http.ResponseWriter, r *http.Request) {
 // handleClipRead routes a per-clip read to the owning shard with
 // replica failover.
 func (c *Coordinator) handleClipRead(w http.ResponseWriter, r *http.Request) {
-	t := c.topo.Load()
+	t := c.readTopology()
+	defer t.reads.RUnlock()
 	sh := t.shards[t.ring.Owner(r.PathValue("name"))]
 	c.proxyRead(w, r, sh)
 }
@@ -738,7 +761,8 @@ func (c *Coordinator) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("need clip parameter"))
 		return
 	}
-	t := c.topo.Load()
+	t := c.readTopology()
+	defer t.reads.RUnlock()
 	sh := t.shards[t.ring.Owner(name)]
 	c.proxyRead(w, r, sh)
 }

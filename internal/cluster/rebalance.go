@@ -406,6 +406,12 @@ func (run *reshardRun) execute(ctx context.Context, old *topology, target []*sha
 	// the merger keeps deduping its two identical copies, so the window
 	// degrades to "longer", never to "wrong".
 	c.reshard.setPhase("cleanup")
+	// Reads that loaded the old topology before the swap may still be
+	// asking the old owners; wait them out, or a delete below could
+	// pull a moved clip from under them.
+	old.reads.Lock()
+	//lint:ignore SA2001 the empty critical section is the wait
+	old.reads.Unlock()
 	surviving := make(map[*shard]bool, len(target))
 	for _, sh := range target {
 		surviving[sh] = true

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"videodb/internal/admission"
@@ -22,39 +21,22 @@ func WithAdmission(c *admission.Controller) Option {
 	return func(s *Server) { s.admission = c }
 }
 
-// admissionExempt lists the endpoints that must stay reachable under
-// overload: observability and replication are how an operator sees the
-// overload and how replicas stay close enough to fail over to.
-func admissionExempt(r *http.Request) bool {
-	p := r.URL.Path
-	return p == "/api/health" || p == "/api/metrics" ||
-		strings.HasPrefix(p, "/api/replication/")
-}
-
-// withAdmission runs the admit-or-shed decision before any handler
-// work: first the rate-limit stage (global and per-client buckets),
-// then the concurrency stage (bounded deadline-aware queue).
-func (s *Server) withAdmission(next http.Handler) http.Handler {
-	if s.admission == nil {
-		return next
+// admit runs the admit-or-shed decision before any handler work: first
+// the rate-limit stage (global and per-client buckets), then the
+// concurrency stage (bounded deadline-aware queue). A refused request
+// is answered here and ok is false; an admitted one must call release
+// when its handler returns.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	if err := s.admission.Admit(admission.ClientKey(r)); err != nil {
+		writeShed(w, err)
+		return nil, false
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if admissionExempt(r) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		if err := s.admission.Admit(admission.ClientKey(r)); err != nil {
-			writeShed(w, err)
-			return
-		}
-		release, err := s.admission.Acquire(r.Context())
-		if err != nil {
-			writeShed(w, err)
-			return
-		}
-		defer release()
-		next.ServeHTTP(w, r)
-	})
+	release, err := s.admission.Acquire(r.Context())
+	if err != nil {
+		writeShed(w, err)
+		return nil, false
+	}
+	return release, true
 }
 
 // writeShed maps an admission refusal onto the wire: rate-limit sheds

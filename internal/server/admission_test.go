@@ -163,7 +163,7 @@ func TestTimeoutResponseCarriesRetryAfter(t *testing.T) {
 		case <-time.After(5 * time.Second):
 		}
 	})
-	ts := httptest.NewServer(s.withTimeout(slow))
+	ts := httptest.NewServer(s.serve("/", 0, slow))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/slow")
@@ -188,7 +188,7 @@ func TestTimeoutDeliversFastResponsesIntact(t *testing.T) {
 		w.WriteHeader(http.StatusTeapot)
 		_, _ = io.WriteString(w, "short and stout")
 	})
-	ts := httptest.NewServer(s.withTimeout(fast))
+	ts := httptest.NewServer(s.serve("/", 0, fast))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/fast")

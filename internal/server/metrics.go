@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"videodb/internal/core"
@@ -17,9 +18,10 @@ import (
 // in the Prometheus text exposition format, so the server is scrapable
 // without taking on a client-library dependency.
 type metricsRegistry struct {
-	mu           sync.Mutex
-	requests     map[string]map[int]int64 // route -> status code -> count
-	durations    map[string]*latencyHist  // route -> latency histogram
+	mu sync.Mutex
+	// routes holds each route's series, created when the route is
+	// registered; requests update them atomically, without mu.
+	routes       map[string]*routeStats
 	ingests      int64
 	ingestFrames int64
 	removes      int64
@@ -54,56 +56,43 @@ var durationBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
 
 func newMetricsRegistry() *metricsRegistry {
 	return &metricsRegistry{
-		requests:    make(map[string]map[int]int64),
-		durations:   make(map[string]*latencyHist),
+		routes:      make(map[string]*routeStats),
 		ingestPhase: make(map[string]float64),
 	}
 }
 
-// latencyHist is a fixed-bucket cumulative histogram.
-type latencyHist struct {
-	counts [9]int64 // len(durationBuckets)+1, last is +Inf
-	total  int64
-	sum    float64
+// routeStats is one route's request counter, by status code, and its
+// latency histogram.
+type routeStats struct {
+	codes   [1000]atomic.Int64 // by status code; WriteHeader takes 100–999
+	buckets [9]atomic.Int64    // len(durationBuckets)+1, last is +Inf
+	nanos   atomic.Int64       // latency sum
 }
 
-func (h *latencyHist) observe(seconds float64) {
-	i := 0
-	for i < len(durationBuckets) && seconds > durationBuckets[i] {
-		i++
+// route returns the series for a route pattern, creating them on first
+// registration.
+func (m *metricsRegistry) route(pattern string) *routeStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.routes[pattern]
+	if st == nil {
+		st = &routeStats{}
+		m.routes[pattern] = st
 	}
-	h.counts[i]++
-	h.total++
-	h.sum += seconds
+	return st
 }
 
 // observe records one served request.
-func (m *metricsRegistry) observe(route string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[route]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.requests[route] = byCode
+func (st *routeStats) observe(code int, d time.Duration) {
+	i := 0
+	for i < len(durationBuckets) && d.Seconds() > durationBuckets[i] {
+		i++
 	}
-	byCode[code]++
-	h := m.durations[route]
-	if h == nil {
-		h = &latencyHist{}
-		m.durations[route] = h
+	st.buckets[i].Add(1)
+	st.nanos.Add(int64(d))
+	if code >= 0 && code < len(st.codes) {
+		st.codes[code].Add(1)
 	}
-	h.observe(d.Seconds())
-}
-
-// instrument wraps a route's handler so every request is counted and
-// timed under the route's pattern label.
-func (m *metricsRegistry) instrument(route string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		m.observe(route, sw.status(), time.Since(start))
-	})
 }
 
 // addIngest records one live-ingested clip: its frame count and where
@@ -183,39 +172,44 @@ func (m *metricsRegistry) render(w io.Writer, counters, gauges map[string]float6
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	routes := make([]string, 0, len(m.requests))
-	for r := range m.requests {
-		routes = append(routes, r)
+	// A route appears once it has served a request.
+	routes := make([]string, 0, len(m.routes))
+	for r, st := range m.routes {
+		for i := range st.codes {
+			if st.codes[i].Load() > 0 {
+				routes = append(routes, r)
+				break
+			}
+		}
 	}
 	sort.Strings(routes)
 
 	fmt.Fprintln(w, "# HELP videodb_http_requests_total HTTP requests served, by route pattern and status code.")
 	fmt.Fprintln(w, "# TYPE videodb_http_requests_total counter")
 	for _, route := range routes {
-		codes := make([]int, 0, len(m.requests[route]))
-		for c := range m.requests[route] {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "videodb_http_requests_total{route=%q,code=\"%d\"} %d\n",
-				escapeLabel(route), c, m.requests[route][c])
+		st := m.routes[route]
+		for c := range st.codes {
+			if n := st.codes[c].Load(); n > 0 {
+				fmt.Fprintf(w, "videodb_http_requests_total{route=%q,code=\"%d\"} %d\n",
+					escapeLabel(route), c, n)
+			}
 		}
 	}
 
 	fmt.Fprintln(w, "# HELP videodb_http_request_duration_seconds Request latency, by route pattern.")
 	fmt.Fprintln(w, "# TYPE videodb_http_request_duration_seconds histogram")
 	for _, route := range routes {
-		h := m.durations[route]
+		st := m.routes[route]
 		label := escapeLabel(route)
 		cum := int64(0)
 		for i, le := range durationBuckets {
-			cum += h.counts[i]
+			cum += st.buckets[i].Load()
 			fmt.Fprintf(w, "videodb_http_request_duration_seconds_bucket{route=%q,le=\"%g\"} %d\n", label, le, cum)
 		}
-		fmt.Fprintf(w, "videodb_http_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", label, h.total)
-		fmt.Fprintf(w, "videodb_http_request_duration_seconds_sum{route=%q} %g\n", label, h.sum)
-		fmt.Fprintf(w, "videodb_http_request_duration_seconds_count{route=%q} %d\n", label, h.total)
+		cum += st.buckets[len(durationBuckets)].Load()
+		fmt.Fprintf(w, "videodb_http_request_duration_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", label, cum)
+		fmt.Fprintf(w, "videodb_http_request_duration_seconds_sum{route=%q} %g\n", label, time.Duration(st.nanos.Load()).Seconds())
+		fmt.Fprintf(w, "videodb_http_request_duration_seconds_count{route=%q} %d\n", label, cum)
 	}
 
 	for _, c := range []struct {

@@ -1,212 +1,162 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
-// statusWriter records the status code and body size a handler wrote,
-// so middleware can log and meter responses after the fact.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int64
+// exempt is a route's policy: the middleware steps it skips.
+type exempt uint8
+
+const (
+	// exemptTimeout lets a request outlive the per-request timeout:
+	// uploads, snapshots and replica bootstrap downloads legitimately
+	// run for as long as the analysis or transfer takes.
+	exemptTimeout exempt = 1 << iota
+	// exemptAdmission keeps a route reachable under overload:
+	// observability and replication are how an operator sees the
+	// overload and how replicas stay close enough to fail over to.
+	exemptAdmission
+)
+
+// serve wraps one route's handler in the server's only middleware. Per
+// request it allocates one respWriter and, in order: admits or sheds
+// the request (unless exempt, see WithAdmission), starts the timeout
+// clock (unless exempt), runs the handler on the request goroutine,
+// then recovers a panic, counts the answer under the route's metrics
+// series and logs one line. Shed requests are logged but not counted
+// per route; the admission counters carry them.
+func (s *Server) serve(pattern string, ex exempt, next http.Handler) http.Handler {
+	stats := s.metrics.route(pattern)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rw := &respWriter{ResponseWriter: w, start: time.Now()}
+		ran := false
+		defer func() {
+			if v := recover(); v != nil {
+				s.recovered(rw, r, v)
+			}
+			d := time.Since(rw.start)
+			if ran {
+				stats.observe(rw.status(), d)
+			}
+			s.log.Info("request",
+				"method", r.Method,
+				"path", r.URL.Path,
+				"status", rw.status(),
+				"bytes", rw.bytes,
+				"duration", d,
+				"remote", r.RemoteAddr,
+			)
+		}()
+		if s.admission != nil && ex&exemptAdmission == 0 {
+			release, ok := s.admit(rw, r)
+			if !ok {
+				return
+			}
+			defer release()
+		}
+		if s.timeout > 0 && ex&exemptTimeout == 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+			defer cancel()
+			rw.deadline, _ = ctx.Deadline()
+			r = r.WithContext(ctx)
+		}
+		ran = true
+		next.ServeHTTP(rw, r)
+		if rw.code == 0 {
+			// The handler returned without writing: a timeout that
+			// passed meanwhile still answers 503.
+			rw.begin(http.StatusOK)
+		}
+	})
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
+// recovered answers a handler panic. Before the first byte it logs the
+// stack and answers 500 JSON instead of dropping the connection. Once
+// the handler's response has started it aborts the connection with
+// http.ErrAbortHandler, so a client never takes a partial body for a
+// complete one; http.ErrAbortHandler itself keeps its net/http meaning.
+func (s *Server) recovered(rw *respWriter, r *http.Request, v any) {
+	if v == http.ErrAbortHandler { //nolint:errorlint // sentinel, by contract
+		panic(v)
+	}
+	s.log.Error("panic in handler",
+		"method", r.Method,
+		"path", r.URL.Path,
+		"panic", fmt.Sprint(v),
+		"stack", string(debug.Stack()),
+	)
+	switch {
+	case rw.timedOut:
+		// The client already holds the whole timeout answer.
+	case rw.code != 0:
+		panic(http.ErrAbortHandler)
+	default:
+		writeError(rw, http.StatusInternalServerError, fmt.Errorf("internal server error"))
+	}
+}
+
+// respWriter is the request-scoped writer every response passes
+// through. It records the status and byte count the log line and the
+// route metrics read, and enforces the per-request timeout without a
+// second goroutine or a response buffer: the deadline is checked once,
+// when the response is about to start (or the handler returns without
+// writing). If it has passed, the handler's status, headers and body
+// are replaced by the timeout 503 and its later writes fail with
+// http.ErrHandlerTimeout. A handler that ignores its context therefore
+// gets its 503 at its next write or return, not at the deadline;
+// http.Server.WriteTimeout remains the backstop for one that never
+// returns.
+type respWriter struct {
+	http.ResponseWriter
+	start    time.Time
+	deadline time.Time // zero when the request has no timeout
+	code     int       // status sent; 0 until the response starts
+	bytes    int64
+	timedOut bool
+}
+
+// begin starts the response with code, unless the deadline has passed:
+// then it sends the timeout answer instead and reports false.
+func (w *respWriter) begin(code int) bool {
+	if !w.deadline.IsZero() && !time.Now().Before(w.deadline) {
+		w.deadline = time.Time{}
+		// Drop every header the handler set: a stale Content-Length or
+		// Content-Type must not describe the 503's body.
+		clear(w.Header())
+		writeBackpressure(w, http.StatusServiceUnavailable,
+			time.Second, "timeout", "request timed out")
+		w.timedOut = true
+		return false
+	}
+	w.code = code
+	return true
+}
+
+func (w *respWriter) WriteHeader(code int) {
+	if w.timedOut || (w.code == 0 && !w.begin(code)) {
+		return
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(p []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
+func (w *respWriter) Write(p []byte) (int, error) {
+	if w.timedOut || (w.code == 0 && !w.begin(http.StatusOK)) {
+		return 0, http.ErrHandlerTimeout
 	}
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
 }
 
-// status returns the written status, defaulting to 200 for handlers
-// that never called WriteHeader.
-func (w *statusWriter) status() int {
+// status returns the status sent, defaulting to 200 for a handler that
+// never wrote.
+func (w *respWriter) status() int {
 	if w.code == 0 {
 		return http.StatusOK
 	}
 	return w.code
-}
-
-// started reports whether any part of the response reached the wire.
-func (w *statusWriter) started() bool { return w.code != 0 }
-
-// withLogging emits one structured log line per request: method, path,
-// status, response bytes, duration and peer address.
-func (s *Server) withLogging(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		s.log.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status(),
-			"bytes", sw.bytes,
-			"duration", time.Since(start),
-			"remote", r.RemoteAddr,
-		)
-	})
-}
-
-// withRecovery converts a handler panic into a 500 JSON response (when
-// the response has not started) instead of killing the connection, and
-// logs the stack. http.ErrAbortHandler keeps its net/http meaning.
-func (s *Server) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			if v == http.ErrAbortHandler { //nolint:errorlint // sentinel, by contract
-				panic(v)
-			}
-			s.log.Error("panic in handler",
-				"method", r.Method,
-				"path", r.URL.Path,
-				"panic", fmt.Sprint(v),
-				"stack", string(debug.Stack()),
-			)
-			if sw, ok := w.(*statusWriter); !ok || !sw.started() {
-				writeError(w, http.StatusInternalServerError,
-					fmt.Errorf("internal server error"))
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// timeoutExempt reports whether a request may outlive the per-request
-// timeout: uploads, snapshots and replica bootstrap downloads
-// legitimately run for as long as the analysis or transfer takes.
-func timeoutExempt(r *http.Request) bool {
-	switch r.Method {
-	case http.MethodPost:
-		return r.URL.Path == "/api/clips" || r.URL.Path == "/api/snapshot"
-	case http.MethodGet:
-		return r.URL.Path == "/api/replication/snapshot"
-	}
-	return false
-}
-
-// withTimeout bounds every non-exempt request to s.timeout, answering
-// through writeBackpressure (503 + Retry-After + JSON body, the same
-// contract as admission sheds) when the deadline passes. A timed-out
-// handler keeps running against a canceled context, but its writes land
-// in a discarded buffer — http.TimeoutHandler semantics, reimplemented
-// here because TimeoutHandler cannot set headers on the timeout answer.
-func (s *Server) withTimeout(next http.Handler) http.Handler {
-	if s.timeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if timeoutExempt(r) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-
-		tw := &timeoutWriter{header: make(http.Header)}
-		done := make(chan struct{})
-		panicChan := make(chan any, 1)
-		go func() {
-			defer func() {
-				if v := recover(); v != nil {
-					panicChan <- v
-				}
-			}()
-			next.ServeHTTP(tw, r)
-			close(done)
-		}()
-		select {
-		case v := <-panicChan:
-			// Re-panic on the request goroutine so withRecovery (outside
-			// this middleware) answers the 500 and logs the stack.
-			panic(v)
-		case <-done:
-			tw.flushTo(w)
-		case <-ctx.Done():
-			tw.timeOut()
-			writeBackpressure(w, http.StatusServiceUnavailable,
-				time.Second, "timeout", "request timed out")
-		}
-	})
-}
-
-// timeoutWriter buffers a handler's response so it can be either
-// delivered whole (handler finished in time) or discarded whole
-// (deadline passed first). The mutex arbitrates the race between the
-// handler goroutine finishing its write and the timeout firing.
-type timeoutWriter struct {
-	mu       sync.Mutex
-	header   http.Header
-	code     int
-	buf      bytes.Buffer
-	timedOut bool
-}
-
-func (tw *timeoutWriter) Header() http.Header { return tw.header }
-
-func (tw *timeoutWriter) WriteHeader(code int) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.code == 0 {
-		tw.code = code
-	}
-}
-
-func (tw *timeoutWriter) Write(p []byte) (int, error) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.timedOut {
-		return 0, http.ErrHandlerTimeout
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	return tw.buf.Write(p)
-}
-
-// timeOut marks the response abandoned: later handler writes fail with
-// http.ErrHandlerTimeout and a late flushTo becomes a no-op.
-func (tw *timeoutWriter) timeOut() {
-	tw.mu.Lock()
-	tw.timedOut = true
-	tw.mu.Unlock()
-}
-
-// flushTo delivers the buffered response to the real writer.
-func (tw *timeoutWriter) flushTo(w http.ResponseWriter) {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	if tw.timedOut {
-		return
-	}
-	dst := w.Header()
-	for k, v := range tw.header {
-		dst[k] = v
-	}
-	if tw.code == 0 {
-		tw.code = http.StatusOK
-	}
-	w.WriteHeader(tw.code)
-	_, _ = w.Write(tw.buf.Bytes())
 }

@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +57,7 @@ func TestPanicRecoveryReturnsJSON500(t *testing.T) {
 	boom := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
-	ts := httptest.NewServer(s.withLogging(s.withRecovery(s.withTimeout(boom))))
+	ts := httptest.NewServer(s.serve("/", 0, boom))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/anything")
@@ -89,7 +92,7 @@ func TestPerRequestTimeout(t *testing.T) {
 		case <-time.After(5 * time.Second):
 		}
 	})
-	ts := httptest.NewServer(s.withTimeout(slow))
+	ts := httptest.NewServer(s.serve("/", 0, slow))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/slow")
@@ -103,7 +106,7 @@ func TestPerRequestTimeout(t *testing.T) {
 
 	// Uploads are exempt: a POST /api/clips outlives the request timeout.
 	done := make(chan int, 1)
-	exempt := httptest.NewServer(s.withTimeout(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	exempt := httptest.NewServer(s.serve("POST /api/clips", exemptTimeout, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(50 * time.Millisecond)
 		w.WriteHeader(http.StatusCreated)
 	})))
@@ -119,6 +122,154 @@ func TestPerRequestTimeout(t *testing.T) {
 	}()
 	if code := <-done; code != http.StatusCreated {
 		t.Errorf("exempt upload returned %d, want 201", code)
+	}
+}
+
+// TestTimedOutRequestCountsAs503 drives a real route past its deadline
+// through Handler() and checks the route metrics count the 503 the
+// client received, not the status the handler meant to send.
+func TestTimedOutRequestCountsAs503(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, WithTimeout(time.Nanosecond))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/api/clips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+
+	// Scrape through the metrics handler itself: with a 1ns timeout the
+	// routed GET /api/metrics would time out too.
+	rec := httptest.NewRecorder()
+	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/api/metrics", nil))
+	text := rec.Body.String()
+	if !strings.Contains(text, `videodb_http_requests_total{route="GET /api/clips",code="503"} 1`) {
+		t.Errorf("timed-out request not counted under code 503:\n%s", text)
+	}
+	if strings.Contains(text, `videodb_http_requests_total{route="GET /api/clips",code="200"}`) {
+		t.Errorf("timed-out request counted under code 200:\n%s", text)
+	}
+}
+
+// TestTimeoutDiscardsLateHandlerResponse runs a handler that ignores its
+// context and writes after the deadline: the client gets the timeout
+// 503 and nothing the handler set or wrote.
+func TestTimeoutDiscardsLateHandlerResponse(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, WithTimeout(20*time.Millisecond))
+	writeErr := make(chan error, 1)
+	late := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("X-Handler", "yes")
+		w.Header().Set("Content-Length", "16")
+		time.Sleep(60 * time.Millisecond) // deaf to its context
+		_, err := io.WriteString(w, "handler's answer")
+		writeErr <- err
+	})
+	ts := httptest.NewServer(s.serve("/", 0, late))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("late handler returned %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("X-Handler") != "" {
+		t.Error("a header the timed-out handler set reached the client")
+	}
+	if strings.Contains(string(body), "handler's answer") {
+		t.Errorf("the timed-out handler's body reached the client: %q", body)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	checkBackpressure(t, resp, "timeout")
+	if err := <-writeErr; !errors.Is(err, http.ErrHandlerTimeout) {
+		t.Errorf("late write returned %v, want http.ErrHandlerTimeout", err)
+	}
+}
+
+// TestPanicAfterResponseStartedAborts checks a panic mid-body aborts the
+// connection rather than ending the response as if it were complete.
+func TestPanicAfterResponseStartedAborts(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db)
+	partial := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `[{"clip":`)
+		panic("kaboom mid-body")
+	})
+	ts := httptest.NewServer(s.serve("/", exemptTimeout, partial))
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/partial")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("a response cut short by a panic reached the client as complete")
+	}
+}
+
+// TestIngestWaitHonoursContext fills both ingest slots and checks an
+// upload waiting for one returns 503 once its context is cancelled,
+// leaving no goroutine behind.
+func TestIngestWaitHonoursContext(t *testing.T) {
+	db, err := core.Open(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(db)
+	h := s.Handler()
+	for i := 0; i < cap(s.ingestSem); i++ {
+		s.ingestSem <- struct{}{}
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/api/clips", vdbfBody(t, smallClip(t, "waiting", 710)))
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, req.WithContext(ctx))
+	}()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("upload still waiting for an ingest slot after its context was cancelled")
+	}
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("cancelled upload returned %d, want 503", rec.Code)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if n := runtime.NumGoroutine(); n <= before {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after the cancelled upload", before, n)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -14,13 +14,18 @@
 //	POST   /api/snapshot                       persist analysis state to disk
 //	GET    /api/metrics                        Prometheus text-format metrics
 //
-// Every request passes through a middleware stack: panic recovery (a
-// handler panic answers 500 JSON instead of dropping the connection),
-// structured request logging, per-route metrics, optional admission
-// control (rate limits and a concurrency cap; overload sheds 429/503
-// with Retry-After, see WithAdmission), and a per-request timeout
-// (uploads and snapshots are exempt — they legitimately run as long as
-// the analysis takes).
+// Every routed request passes through one middleware with one
+// request-scoped writer. In order it applies optional admission control
+// (rate limits and a concurrency cap; overload sheds 429/503 with
+// Retry-After, see WithAdmission; health, metrics and replication are
+// exempt), then a per-request timeout (uploads, snapshots and replica
+// bootstrap downloads are exempt — they legitimately run as long as
+// the analysis or transfer takes), runs the handler on the request
+// goroutine, then recovers a panic (500 JSON before the first byte,
+// an aborted connection after it), counts the answer in the route's
+// metrics and writes one structured log line. The deadline is checked
+// when the response starts, or when the handler returns without
+// writing, so a timeout never breaks a response off mid-body.
 package server
 
 import (
@@ -126,37 +131,42 @@ func New(db *core.Database, opts ...Option) *Server {
 	return s
 }
 
-// Handler returns the HTTP handler implementing the API, wrapped in the
-// logging → recovery → timeout middleware stack with per-route metrics.
+// Handler returns the HTTP handler implementing the API. The route table
+// below is the only place a route's policy lives: each route is wrapped
+// once in the server's single middleware (see serve), which admits or
+// sheds the request, runs the handler under the per-request timeout,
+// recovers a panic, counts the answer under the route's pattern and
+// logs it. Requests no route matches get the mux's own 404/405,
+// unlogged and uncounted.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.metrics.instrument(pattern, h))
+	for _, rt := range []struct {
+		pattern string
+		h       http.HandlerFunc
+		ex      exempt
+	}{
+		{"GET /api/clips", s.handleClips, 0},
+		{"POST /api/clips", s.handleIngest, exemptTimeout},
+		{"GET /api/clips/{name}", s.handleClip, 0},
+		{"DELETE /api/clips/{name}", s.handleRemove, 0},
+		{"GET /api/clips/{name}/tree", s.handleTree, 0},
+		{"GET /api/query", s.handleQuery, 0},
+		{"POST /api/query/batch", s.handleQueryBatch, 0},
+		{"GET /api/similar", s.handleSimilar, 0},
+		{"GET /api/frame", s.handleFrame, 0},
+		{"GET /api/storyboard", s.handleStoryboard, 0},
+		{"POST /api/snapshot", s.handleSnapshot, exemptTimeout},
+		{"GET /api/health", s.handleHealth, exemptAdmission},
+		{"GET /api/replication/snapshot", s.handleReplicationSnapshot, exemptAdmission | exemptTimeout},
+		{"GET /api/replication/wal", s.handleReplicationWAL, exemptAdmission},
+		{"GET /api/replication/clip/{name}", s.handleReplicationClipGet, exemptAdmission},
+		{"POST /api/replication/clip", s.handleReplicationClipPut, exemptAdmission},
+		{"GET /api/metrics", s.handleMetrics, exemptAdmission},
+		{"GET /", s.handleIndex, 0},
+	} {
+		mux.Handle(rt.pattern, s.serve(rt.pattern, rt.ex, rt.h))
 	}
-	route("GET /api/clips", s.handleClips)
-	route("POST /api/clips", s.handleIngest)
-	route("GET /api/clips/{name}", s.handleClip)
-	route("DELETE /api/clips/{name}", s.handleRemove)
-	route("GET /api/clips/{name}/tree", s.handleTree)
-	route("GET /api/query", s.handleQuery)
-	route("POST /api/query/batch", s.handleQueryBatch)
-	route("GET /api/similar", s.handleSimilar)
-	route("GET /api/frame", s.handleFrame)
-	route("GET /api/storyboard", s.handleStoryboard)
-	route("POST /api/snapshot", s.handleSnapshot)
-	route("GET /api/health", s.handleHealth)
-	route("GET /api/replication/snapshot", s.handleReplicationSnapshot)
-	route("GET /api/replication/wal", s.handleReplicationWAL)
-	route("GET /api/replication/clip/{name}", s.handleReplicationClipGet)
-	route("POST /api/replication/clip", s.handleReplicationClipPut)
-	route("GET /api/metrics", s.handleMetrics)
-	route("GET /", s.handleIndex)
-	var h http.Handler = mux
-	h = s.withTimeout(h)
-	h = s.withAdmission(h)
-	h = s.withRecovery(h)
-	h = s.withLogging(h)
-	return h
+	return mux
 }
 
 // ClipSummary is the JSON shape of a clip listing entry.

@@ -22,9 +22,10 @@ import (
 // across the database's worker budget internally, so concurrent upload
 // analyses are capped at two — one analyzing while the next parses its
 // upload — instead of one slot per worker. The request context is
-// threaded into the analysis pipeline: an abandoned upload or a server
-// shutdown cancels the in-flight analysis instead of burning CPU on a
-// result nobody will read.
+// honoured while waiting for a slot and threaded into the analysis
+// pipeline: an abandoned upload or a server shutdown answers 503 and
+// cancels the in-flight analysis instead of burning CPU on a result
+// nobody will read.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.refuseReadOnly(w) {
 		return
@@ -32,8 +33,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.maxBody > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
-	s.ingestSem <- struct{}{}
-	defer func() { <-s.ingestSem }()
+	select {
+	case s.ingestSem <- struct{}{}:
+		defer func() { <-s.ingestSem }()
+	case <-r.Context().Done():
+		// Client gone or server draining before a slot freed up:
+		// answer like an aborted analysis.
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("waiting for an ingest slot: %w", r.Context().Err()))
+		return
+	}
 
 	name := r.URL.Query().Get("name")
 	br := bufio.NewReader(r.Body)
